@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint pytest bench bench-json search-demo profile
+.PHONY: test lint pytest bench bench-json perfbench search-demo profile
 
 # Tier-1 verification: lint (when available) + the unit/integration
 # suite (benchmarks are opt-in).
@@ -41,6 +41,11 @@ bench-json:
 	$(PYTHON) benchmarks/test_faults.py --json BENCH_faults.json
 	$(PYTHON) benchmarks/test_telemetry.py --json BENCH_telemetry.json
 	$(PYTHON) benchmarks/test_cost.py --json BENCH_cost.json
+
+# The repository benchmark (BENCHMARK.json, see perfbench/README.md): every
+# workload in turn, or one with `make perfbench WORKLOAD=serial-replay`.
+perfbench:
+	$(PYTHON) perfbench/run.py$(if $(WORKLOAD), --workload $(WORKLOAD))
 
 # Sweep a 216-point design grid and print its Pareto frontier.
 search-demo:

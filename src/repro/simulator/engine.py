@@ -5,24 +5,34 @@ Between events the rate of every live flow is constant (computed by the
 max-min fair allocator), so per-node CPU utilization — and therefore power —
 is piecewise constant and energy integrates exactly.
 
-Events are: a job becoming ready (its start time), a flow completing, and a
-phase barrier releasing the next phase of a job.
+One event loop, :meth:`ClusterSimulator.run`, serves every run.  Its
+events are: a job arriving (its start time), a flow completing, and a
+phase barrier releasing the next phase of a job.  Two optional inputs add
+event kinds, and cost nothing while absent:
 
-With a dynamic :class:`~repro.policy.policies.ControlPolicy` attached
-(``run(jobs, policy=...)``), two more event kinds interleave: periodic
-*control ticks*, at which the policy observes the cluster and may gate or
-wake nodes or step their DVFS factors, and *power-state transitions*
-(gating -> gated, waking -> active) completing.  Nodes then carry a power
-state — ``active`` (normal), ``gating``/``waking`` (transitioning: no
-capacity, near-peak transition power), ``gated`` (off: no capacity,
-standby residual power) — and a job whose flows demand an inactive node is
-*held* at arrival until every node it needs is active again, so wake-up
-latency shows up in its response time exactly where a production cluster
-would pay it.
+* a dynamic :class:`~repro.policy.policies.ControlPolicy`
+  (``run(jobs, policy=...)``) adds periodic *control ticks*, at which the
+  policy observes the cluster and may gate or wake nodes or step their
+  DVFS factors, and *power-state transitions* (gating -> gated, waking ->
+  active) completing.  Nodes then carry a power state — ``active``
+  (normal), ``gating``/``waking`` (transitioning: no capacity, near-peak
+  transition power), ``gated`` (off: no capacity, standby residual
+  power);
+* a non-empty :class:`~repro.faults.schedule.FaultSchedule`
+  (``run(jobs, faults=...)``) adds fault onsets and offsets — node
+  crashes and recoveries, stragglers, network degrades — and the retry
+  backoffs of the jobs a crash killed.
+
+A job whose flows demand a node that is not active is *held* at arrival
+until every node it needs is active again, so wake-up and recovery
+latency show up in its response time exactly where a production cluster
+would pay them.  Without a dynamic policy or a fault, every node stays
+active and the loop replays the plain max-min fair schedule.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -168,18 +178,38 @@ class SimulationResult:
 
 
 class _LiveFlow:
-    __slots__ = ("spec", "job_index", "phase_index", "remaining_mb", "job_name")
+    __slots__ = ("spec", "job_index", "phase_index", "remaining_mb", "job_name", "cpu")
 
-    def __init__(self, spec: FlowSpec, job_index: int, phase_index: int, job_name: str):
+    def __init__(
+        self,
+        spec: FlowSpec,
+        job_index: int,
+        phase_index: int,
+        job_name: str,
+        cpu: tuple[tuple[int, float], ...],
+    ):
         self.spec = spec
         self.job_index = job_index
         self.phase_index = phase_index
         self.remaining_mb = spec.volume_mb
         self.job_name = job_name
+        #: ``((node, coef), ...)``: the CPU entries of ``spec.demands``
+        self.cpu = cpu
 
     @property
     def done(self) -> bool:
         return self.remaining_mb <= _COMPLETION_EPS * max(1.0, self.spec.volume_mb)
+
+
+def _cpu_demands(spec: FlowSpec) -> tuple[tuple[int, float], ...]:
+    """``((node, coef), ...)`` for the CPU resources ``spec`` demands, in
+    ``spec.demands`` order (so per-node sums keep their float op order)."""
+    pairs = []
+    for resource, coef in spec.demands.items():
+        kind, _, node = resource.partition(":")
+        if kind == CPU:
+            pairs.append((int(node), coef))
+    return tuple(pairs)
 
 
 class ClusterSimulator:
@@ -221,484 +251,34 @@ class ClusterSimulator:
     ) -> SimulationResult:
         """Run ``jobs`` to completion and return timing and energy.
 
+        This is the engine's one event loop.  Each optional input below
+        adds its events only when present, so a run without them pays
+        nothing for them.
+
         ``policy`` optionally puts a
         :class:`~repro.policy.policies.ControlPolicy` in charge of node
         power states and per-node DVFS, consulted every
-        ``control_interval_s`` simulated seconds.  ``None`` and *static*
-        policies (``policy.is_static``) take the exact uncontrolled loop
-        below — no tick events, no interval splits — so their results are
-        bit-identical to the historical ones; dynamic policies dispatch
-        to :meth:`_run_controlled`.
+        ``control_interval_s`` simulated seconds.  Node states move
+        through the active/gating/gated/waking machine priced by the
+        policy's :class:`~repro.hardware.powerstate.PowerStateModel`.
+        ``None`` and *static* policies (``policy.is_static``) schedule no
+        tick, so their runs equal the uncontrolled one bit for bit.  A
+        policy that never wakes the nodes a held job needs stalls the run
+        into the ``max_events`` guard.
 
         ``faults`` optionally injects a
-        :class:`~repro.faults.schedule.FaultSchedule` of node crashes,
-        stragglers, and network degrades; ``failure_policy`` governs the
-        jobs a crash kills, and ``layout`` (a
-        :class:`~repro.pstore.replication.ReplicatedLayout`) makes a
-        crash that strands every copy of a partition fatal.  A ``None``
-        or *empty* schedule leaves this method on the exact healthy
-        paths — fault-free runs are bit-identical to historical ones;
-        any scheduled event dispatches to :meth:`_run_faulted`.
-        """
-        self._validate(jobs)
-        if faults is not None and getattr(faults, "events", ()):
-            return self._run_faulted(
-                jobs, policy, control_interval_s, max_events,
-                faults, failure_policy, layout,
-            )
-        if policy is not None and not policy.is_static:
-            return self._run_controlled(
-                jobs, policy, control_interval_s, max_events
-            )
-
-        time_s = 0.0
-        job_phase = [0] * len(jobs)
-        phase_live_count = [0] * len(jobs)
-        job_start: dict[str, float] = {}
-        job_completion: dict[str, float] = {}
-        # Arrival order over a cursor: pop(0) on a list is O(n) per
-        # admission, which turns long traces quadratic.
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
-        cursor = 0
-        live: list[_LiveFlow] = []
-
-        num_nodes = self.pool.num_nodes
-        node_energy = [0.0] * num_nodes
-        intervals: list[Interval] = []
-        events = 0
-
-        while cursor < len(order) or live:
-            events += 1
-            if events > max_events:
-                raise SimulationError(f"exceeded {max_events} events; simulation stalled?")
-
-            # Admit every job whose start time has arrived.
-            while (
-                cursor < len(order)
-                and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
-            ):
-                index = order[cursor]
-                cursor += 1
-                # The admission window extends _COMPLETION_EPS past now, so
-                # clamp: a job must never be recorded as starting before it
-                # arrived (that would bias queueing delay negative).
-                job_start[jobs[index].name] = max(time_s, jobs[index].start_time_s)
-                self._advance_job(
-                    jobs, index, 0, live, phase_live_count, job_phase,
-                    time_s, job_completion,
-                )
-
-            if not live:
-                if cursor < len(order):
-                    # Idle gap until the next arrival: the cluster still
-                    # draws engine-idle power (relevant for the delayed-
-                    # execution studies of Section 2's citations).
-                    next_start = jobs[order[cursor]].start_time_s
-                    gap = next_start - time_s
-                    self._integrate([], [], [], time_s, gap, node_energy, intervals)
-                    time_s = next_start
-                    continue
-                break
-
-            rates, bindings = self._allocate(live)
-
-            # Next event: earliest flow completion or job admission.
-            dt = math.inf
-            for flow, rate in zip(live, rates):
-                if rate > 0:
-                    dt = min(dt, flow.remaining_mb / rate)
-            if cursor < len(order):
-                dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
-            if not math.isfinite(dt) or dt < 0:
-                raise SimulationError(
-                    "simulation stalled: live flows have zero rate and no pending events"
-                )
-
-            self._integrate(live, rates, bindings, time_s, dt, node_energy, intervals)
-
-            for flow, rate in zip(live, rates):
-                flow.remaining_mb -= rate * dt
-            time_s += dt
-
-            # Retire completed flows and release phase barriers.
-            finished = [flow for flow in live if flow.done]
-            if finished:
-                live = [flow for flow in live if not flow.done]
-                touched_jobs = set()
-                for flow in finished:
-                    phase_live_count[flow.job_index] -= 1
-                    touched_jobs.add(flow.job_index)
-                for index in touched_jobs:
-                    if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
-
-        # Hot-loop accounting stays in the local ``events`` counter and
-        # flushes once per run, so the disabled path costs two calls here.
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count("sim.runs")
-            telemetry.count("sim.events", events)
-        return SimulationResult(
-            makespan_s=time_s,
-            energy_j=sum(node_energy),
-            node_energy_j=tuple(node_energy),
-            job_start_s=job_start,
-            job_completion_s=job_completion,
-            intervals=intervals,
-        )
-
-    # ------------------------------------------------------- controlled loop
-    def _run_controlled(
-        self,
-        jobs: Sequence[Job],
-        policy,
-        control_interval_s: float,
-        max_events: int,
-    ) -> SimulationResult:
-        """The policy-driven event loop: ticks, power states, held jobs.
-
-        Differences from :meth:`run`: a control tick fires every
-        ``control_interval_s`` (the policy observes and acts); nodes move
-        through the active/gating/gated/waking state machine priced by the
-        policy's :class:`~repro.hardware.powerstate.PowerStateModel`; and
-        an arriving job is *held* — ``job_start_s`` stays its arrival —
-        until every node its flows demand is active, so wake-up latency
-        lands in its response time.  A policy that never wakes the nodes a
-        held job needs stalls the run into the ``max_events`` guard.
-        """
-        # Imported here, not at module top: repro.policy.candidate pulls
-        # in the search package, which transitively imports this module.
-        from repro.policy.policies import (
-            ClusterState,
-            GateNode,
-            SetFrequency,
-            UngateNode,
-        )
-
-        if control_interval_s <= 0:
-            raise SimulationError(
-                f"control interval must be > 0, got {control_interval_s}"
-            )
-        model = policy.power_state_model()
-
-        num_nodes = self.pool.num_nodes
-        roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
-        node_state = [ACTIVE] * num_nodes
-        transition_end = [math.inf] * num_nodes
-        factors = [1.0] * num_nodes
-        node_energy = [0.0] * num_nodes
-        gated_seconds = 0.0
-        energy_saved = 0.0
-        intervals: list[Interval] = []
-
-        time_s = 0.0
-        job_phase = [0] * len(jobs)
-        phase_live_count = [0] * len(jobs)
-        job_start: dict[str, float] = {}
-        job_completion: dict[str, float] = {}
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
-        cursor = 0
-        live: list[_LiveFlow] = []
-        held: list[int] = []
-        # Trace jobs share phase tuples (template interning), so the
-        # demanded-node set is computed once per distinct template.
-        node_sets: dict[int, frozenset[int]] = {}
-
-        def needed_nodes(index: int) -> frozenset[int]:
-            key = id(jobs[index].phases)
-            nodes = node_sets.get(key)
-            if nodes is None:
-                nodes = node_sets[key] = self._job_nodes(jobs[index])
-            return nodes
-
-        def integrate(rates: Sequence[float], dt: float) -> None:
-            """Per-state energy over one piecewise-constant stretch."""
-            nonlocal gated_seconds, energy_saved
-            if dt <= 0:
-                return
-            cpu_rates = [0.0] * num_nodes
-            for flow, rate in zip(live, rates):
-                for resource, coef in flow.spec.demands.items():
-                    kind, _, node = resource.partition(":")
-                    if kind == CPU:
-                        cpu_rates[int(node)] += coef * rate
-            utils = []
-            powers = []
-            for node_id in range(num_nodes):
-                spec = self.pool.node_spec(node_id)
-                state = node_state[node_id]
-                if state == ACTIVE:
-                    effective = self._dvfs_spec(node_id, factors[node_id])
-                    util = effective.utilization(cpu_rates[node_id])
-                    watts = effective.power_model.power(util)
-                else:
-                    util = 0.0
-                    if state == GATED:
-                        watts = model.gated_power_w(spec)
-                        gated_seconds += dt
-                    else:  # gating or waking
-                        watts = (
-                            model.transition_power_fraction * spec.peak_power_w
-                        )
-                    energy_saved += (spec.idle_power_w - watts) * dt
-                utils.append(util)
-                powers.append(watts)
-                node_energy[node_id] += watts * dt
-            if self.record_intervals:
-                intervals.append(
-                    Interval(
-                        start_s=time_s,
-                        end_s=time_s + dt,
-                        node_utilization=tuple(utils),
-                        node_power_w=tuple(powers),
-                        flow_names=tuple(flow.spec.name for flow in live),
-                        flow_bindings=tuple(bindings),
-                        flow_jobs=tuple(flow.job_name for flow in live),
-                    )
-                )
-
-        last_busy_s = 0.0
-        next_tick_s = control_interval_s
-        bindings: Sequence[str] = []
-        events = 0
-        # Telemetry accumulates in locals (plain int adds in the hot loop)
-        # and flushes once at the return below.
-        ticks = 0
-        gate_actions = 0
-        ungate_actions = 0
-        freq_actions = 0
-
-        while cursor < len(order) or live or held:
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; simulation stalled?"
-                )
-
-            # Complete power-state transitions that are due.
-            for node_id in range(num_nodes):
-                if transition_end[node_id] <= time_s + _COMPLETION_EPS:
-                    node_state[node_id] = (
-                        GATED if node_state[node_id] == GATING else ACTIVE
-                    )
-                    transition_end[node_id] = math.inf
-
-            # Take arrivals into the held queue; a job "starts" when it
-            # arrives, so time spent waiting for nodes to wake is queueing
-            # delay, not erased.
-            while (
-                cursor < len(order)
-                and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
-            ):
-                index = order[cursor]
-                cursor += 1
-                job_start[jobs[index].name] = max(
-                    time_s, jobs[index].start_time_s
-                )
-                held.append(index)
-
-            # Release held jobs whose nodes are all active, arrival order.
-            if held:
-                still_held: list[int] = []
-                for index in held:
-                    if all(
-                        node_state[n] == ACTIVE for n in needed_nodes(index)
-                    ):
-                        self._advance_job(
-                            jobs, index, 0, live, phase_live_count,
-                            job_phase, time_s, job_completion,
-                        )
-                    else:
-                        still_held.append(index)
-                held = still_held
-
-            if live or held:
-                last_busy_s = time_s
-
-            # Control tick: the policy observes and acts.  Invalid actions
-            # (gating a node that live flows demand, waking a node that is
-            # not gated) are dropped — the controller races the cluster.
-            if next_tick_s <= time_s + _COMPLETION_EPS:
-                ticks += 1
-                if live:
-                    rates, bindings = self._allocate(live, factors)
-                else:
-                    rates, bindings = [], []
-                cpu_rates = [0.0] * num_nodes
-                for flow, rate in zip(live, rates):
-                    for resource, coef in flow.spec.demands.items():
-                        kind, _, node = resource.partition(":")
-                        if kind == CPU:
-                            cpu_rates[int(node)] += coef * rate
-                loads = tuple(
-                    min(
-                        1.0,
-                        cpu_rates[n]
-                        / (
-                            self.pool.node_spec(n).cpu_bandwidth_mbps
-                            * factors[n]
-                        ),
-                    )
-                    if node_state[n] == ACTIVE
-                    else 0.0
-                    for n in range(num_nodes)
-                )
-                snapshot = ClusterState(
-                    time_s=time_s,
-                    node_roles=roles,
-                    node_states=tuple(node_state),
-                    node_utilization=loads,
-                    frequency_factors=tuple(factors),
-                    queue_depth=len({flow.job_index for flow in live})
-                    + len(held),
-                    held_jobs=len(held),
-                    idle_s=time_s - last_busy_s,
-                )
-                # A running job owns every node any of its phases demands —
-                # gating one mid-job would strand a later phase.
-                demanded = frozenset(
-                    node
-                    for flow in live
-                    for node in needed_nodes(flow.job_index)
-                )
-                for action in policy.observe(snapshot):
-                    if isinstance(action, GateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == ACTIVE
-                            and node_id not in demanded
-                        ):
-                            gate_actions += 1
-                            if model.shutdown_s > 0:
-                                node_state[node_id] = GATING
-                                transition_end[node_id] = (
-                                    time_s + model.shutdown_s
-                                )
-                            else:
-                                node_state[node_id] = GATED
-                    elif isinstance(action, UngateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == GATED
-                        ):
-                            ungate_actions += 1
-                            if model.boot_s > 0:
-                                node_state[node_id] = WAKING
-                                transition_end[node_id] = time_s + model.boot_s
-                            else:
-                                node_state[node_id] = ACTIVE
-                    elif isinstance(action, SetFrequency):
-                        if 0 <= action.node_id < num_nodes:
-                            freq_actions += 1
-                            factors[action.node_id] = action.frequency_factor
-                    else:
-                        raise SimulationError(
-                            f"unknown control action: {action!r}"
-                        )
-                while next_tick_s <= time_s + _COMPLETION_EPS:
-                    next_tick_s += control_interval_s
-
-            pending = [end for end in transition_end if math.isfinite(end)]
-
-            if not live:
-                if cursor >= len(order) and not held:
-                    break  # transitions in flight don't extend the makespan
-                targets = list(pending)
-                if cursor < len(order):
-                    targets.append(jobs[order[cursor]].start_time_s)
-                # Ticks still fire while idle: that is when gating happens
-                # (and how held jobs get their nodes woken).
-                targets.append(next_tick_s)
-                target = min(targets)
-                bindings = []
-                integrate([], target - time_s)
-                time_s = max(time_s, target)
-                continue
-
-            rates, bindings = self._allocate(live, factors)
-
-            dt = math.inf
-            for flow, rate in zip(live, rates):
-                if rate > 0:
-                    dt = min(dt, flow.remaining_mb / rate)
-            if cursor < len(order):
-                dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
-            dt = min(dt, next_tick_s - time_s)
-            for end in pending:
-                dt = min(dt, end - time_s)
-            if not math.isfinite(dt) or dt < 0:
-                raise SimulationError(
-                    "simulation stalled: live flows have zero rate and no "
-                    "pending events"
-                )
-
-            integrate(rates, dt)
-            for flow, rate in zip(live, rates):
-                flow.remaining_mb -= rate * dt
-            time_s += dt
-
-            finished = [flow for flow in live if flow.done]
-            if finished:
-                live = [flow for flow in live if not flow.done]
-                touched_jobs = set()
-                for flow in finished:
-                    phase_live_count[flow.job_index] -= 1
-                    touched_jobs.add(flow.job_index)
-                for index in touched_jobs:
-                    if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
-
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count("sim.controlled_runs")
-            telemetry.count("sim.events", events)
-            telemetry.count("sim.control.ticks", ticks)
-            telemetry.count("sim.control.gate_actions", gate_actions)
-            telemetry.count("sim.control.ungate_actions", ungate_actions)
-            telemetry.count("sim.control.freq_actions", freq_actions)
-        return SimulationResult(
-            makespan_s=time_s,
-            energy_j=sum(node_energy),
-            node_energy_j=tuple(node_energy),
-            job_start_s=job_start,
-            job_completion_s=job_completion,
-            intervals=intervals,
-            gated_node_seconds=gated_seconds,
-            energy_saved_j=energy_saved,
-        )
-
-    # ---------------------------------------------------------- faulted loop
-    def _run_faulted(
-        self,
-        jobs: Sequence[Job],
-        policy,
-        control_interval_s: float,
-        max_events: int,
-        faults,
-        failure_policy,
-        layout,
-    ) -> SimulationResult:
-        """The nemesis event loop: crashes, stragglers, degraded links.
-
-        A superset of :meth:`_run_controlled` (the control policy is
-        optional here) with a fault timeline interleaved into the event
-        horizon:
+        :class:`~repro.faults.schedule.FaultSchedule`; ``None`` or an
+        empty schedule injects nothing, and any other value raises
+        :class:`~repro.errors.SimulationError`.
 
         * a :class:`~repro.faults.schedule.NodeCrash` is a *forced gated
           transition with zero notice* — the node drops to the failure
           policy's standby residual instantly, and every in-flight job
-          that owns it is killed and re-queued or shed per the
-          :class:`~repro.faults.schedule.FailurePolicy`; recovery is a
-          priced waking transition whose energy lands in
-          ``recovery_energy_j``;
+          that owns it is killed and re-queued or shed per
+          ``failure_policy`` (a
+          :class:`~repro.faults.schedule.FailurePolicy`, abort-and-retry
+          by default); recovery is a priced waking transition whose
+          energy lands in ``recovery_energy_j``;
         * a :class:`~repro.faults.schedule.Straggler` multiplies the
           node's DVFS factor (capacity *and* power scale, like thermal
           throttling);
@@ -707,16 +287,30 @@ class ClusterSimulator:
 
         Fault node indices wrap modulo the cluster size (ring semantics,
         matching chained declustering), so one scenario spans designs of
-        different sizes.  With a ``layout``, a crash that strands every
-        copy of a partition raises
+        different sizes.  With a ``layout`` (a
+        :class:`~repro.pstore.replication.ReplicatedLayout`), a crash
+        that strands every copy of a partition raises
         :class:`~repro.errors.SimulationError` — the candidate is
         infeasible under the scenario; without one, jobs stranded by a
-        never-recovering node are dropped and the trace continues.
-        """
-        import heapq
+        never-recovering node are dropped and the trace continues.  A
+        policy can neither gate a crashed node (it is not active) nor
+        wake one (rebooting is the fault's call).
 
+        An arriving job is *held* — ``job_start_s`` stays its arrival —
+        until every node its flows demand is active, so wake-up and
+        outage waits land in its response time.
+
+        With telemetry enabled the run counts ``sim.faulted_runs`` (a
+        non-empty schedule), else ``sim.controlled_runs`` (a dynamic
+        policy), else ``sim.runs``; plus ``sim.events``, the
+        ``sim.control.*`` actions with a dynamic policy and the
+        ``sim.faults.*`` accounting with a non-empty schedule.
+        """
+        # Imported here, not at module top: repro.policy and repro.faults
+        # pull in packages that transitively import this module.
         from repro.faults.schedule import (
             FailurePolicy,
+            FaultSchedule,
             NetworkDegrade,
             NodeCrash,
             Straggler,
@@ -728,21 +322,32 @@ class ClusterSimulator:
             UngateNode,
         )
 
-        if failure_policy is None:
-            failure_policy = FailurePolicy()
+        self._validate(jobs)
+        if faults is not None and not isinstance(faults, FaultSchedule):
+            raise SimulationError(
+                "faults must be a FaultSchedule or None, got "
+                f"{type(faults).__name__}"
+            )
         dynamic = policy is not None and not policy.is_static
         if dynamic and control_interval_s <= 0:
             raise SimulationError(
                 f"control interval must be > 0, got {control_interval_s}"
             )
         model = policy.power_state_model() if dynamic else None
+        if failure_policy is None:
+            failure_policy = FailurePolicy()
         fault_model = failure_policy.transitions
 
         num_nodes = self.pool.num_nodes
-        roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
+        specs = [self.pool.node_spec(n) for n in range(num_nodes)]
+        roles = tuple(self.pool.node_role(n) for n in range(num_nodes))
         node_state = [ACTIVE] * num_nodes
         transition_end = [math.inf] * num_nodes
-        factors = [1.0] * num_nodes
+        # min(transition_end), refreshed once per event after every change
+        next_transition = math.inf
+        factors = [1.0] * num_nodes  # policy-set DVFS
+        fault_mult = [1.0] * num_nodes  # straggler slowdowns
+        effective = [1.0] * num_nodes  # factors * fault_mult, kept in step
         node_energy = [0.0] * num_nodes
         gated_seconds = 0.0
         energy_saved = 0.0
@@ -752,7 +357,7 @@ class ClusterSimulator:
         # The fault timeline: every event contributes its onset (and,
         # where applicable, its offset/recovery) to the event horizon.
         timeline: list[tuple[float, str, object]] = []
-        for event in faults.events:
+        for event in faults.events if faults is not None else ():
             if isinstance(event, NodeCrash):
                 timeline.append((event.at_s, "crash", event))
                 if math.isfinite(event.recover_at_s):
@@ -771,7 +376,6 @@ class ClusterSimulator:
         crashed: dict[int, float] = {}  # node -> scheduled recovery (inf = never)
         fault_waking: set[int] = set()
         stragglers: dict[int, list] = {}
-        fault_mult = [1.0] * num_nodes
         degrades: list = []
         net_mult = 1.0
         survived = 0
@@ -785,11 +389,17 @@ class ClusterSimulator:
         phase_live_count = [0] * len(jobs)
         job_start: dict[str, float] = {}
         job_completion: dict[str, float] = {}
+        # Arrival order over a cursor: pop(0) on a list is O(n) per
+        # admission, which turns long traces quadratic.
         order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
         cursor = 0
         live: list[_LiveFlow] = []
         held: list[int] = []
+        # Trace jobs share phase tuples and flow specs (template
+        # interning), so the demanded-node set is computed once per
+        # distinct template and the CPU demands once per distinct spec.
         node_sets: dict[int, frozenset[int]] = {}
+        cpu_table: dict[int, tuple[tuple[int, float], ...]] = {}
 
         def needed_nodes(index: int) -> frozenset[int]:
             key = id(jobs[index].phases)
@@ -798,33 +408,54 @@ class ClusterSimulator:
                 nodes = node_sets[key] = self._job_nodes(jobs[index])
             return nodes
 
+        def advance_job(index: int, phase_index: int) -> None:
+            """Admit phases from ``phase_index`` on, skipping all-empty ones."""
+            job = jobs[index]
+            while phase_index < len(job.phases):
+                job_phase[index] = phase_index
+                count = 0
+                for spec in job.phases[phase_index].flows:
+                    if spec.volume_mb > 0:
+                        cpu = cpu_table.get(id(spec))
+                        if cpu is None:
+                            cpu = cpu_table[id(spec)] = _cpu_demands(spec)
+                        live.append(_LiveFlow(spec, index, phase_index, job.name, cpu))
+                        count += 1
+                phase_live_count[index] = count
+                if count:
+                    return
+                phase_index += 1
+            job_completion[job.name] = time_s
+            job_phase[index] = None
+
         def drop_job(index: int) -> None:
             dropped.append(jobs[index].name)
             job_phase[index] = None
             phase_live_count[index] = 0
+
+        def cpu_rates_of(rates: Sequence[float]) -> list[float]:
+            cpu_rates = [0.0] * num_nodes
+            for flow, rate in zip(live, rates):
+                for node, coef in flow.cpu:
+                    cpu_rates[node] += coef * rate
+            return cpu_rates
 
         def integrate(rates: Sequence[float], dt: float) -> None:
             """Per-state energy; crashes and recoveries price separately."""
             nonlocal gated_seconds, energy_saved, recovery_energy
             if dt <= 0:
                 return
-            cpu_rates = [0.0] * num_nodes
-            for flow, rate in zip(live, rates):
-                for resource, coef in flow.spec.demands.items():
-                    kind, _, node = resource.partition(":")
-                    if kind == CPU:
-                        cpu_rates[int(node)] += coef * rate
+            cpu_rates = cpu_rates_of(rates)
             utils = []
             powers = []
             for node_id in range(num_nodes):
-                spec = self.pool.node_spec(node_id)
+                spec = specs[node_id]
                 state = node_state[node_id]
                 if state == ACTIVE:
-                    effective = self._dvfs_spec(
-                        node_id, factors[node_id] * fault_mult[node_id]
-                    )
-                    util = effective.utilization(cpu_rates[node_id])
-                    watts = effective.power_model.power(util)
+                    if effective[node_id] != 1.0:
+                        spec = self._dvfs_spec(node_id, effective[node_id])
+                    util = spec.utilization(cpu_rates[node_id])
+                    watts = spec.power_model.power(util)
                 else:
                     util = 0.0
                     if node_id in crashed:
@@ -953,6 +584,7 @@ class ClusterSimulator:
                     fault_mult[node] = math.prod(
                         s.slowdown for s in stragglers[node]
                     )
+                    effective[node] = factors[node] * fault_mult[node]
                 elif kind == "straggle-off":
                     node = event.node % num_nodes
                     group = stragglers.get(node, [])
@@ -961,6 +593,7 @@ class ClusterSimulator:
                     fault_mult[node] = (
                         math.prod(s.slowdown for s in group) if group else 1.0
                     )
+                    effective[node] = factors[node] * fault_mult[node]
                 elif kind == "net-on":
                     survived += 1
                     degrades.append(event)
@@ -978,7 +611,8 @@ class ClusterSimulator:
         next_tick_s = control_interval_s if dynamic else math.inf
         bindings: Sequence[str] = []
         events = 0
-        # Telemetry accumulates in locals and flushes once at the return.
+        # Telemetry accumulates in locals (plain int adds in the hot loop)
+        # and flushes once at the return below.
         ticks = 0
         gate_actions = 0
         ungate_actions = 0
@@ -992,15 +626,17 @@ class ClusterSimulator:
                 )
 
             # Complete power-state transitions that are due.
-            for node_id in range(num_nodes):
-                if transition_end[node_id] <= time_s + _COMPLETION_EPS:
-                    node_state[node_id] = (
-                        GATED if node_state[node_id] == GATING else ACTIVE
-                    )
-                    transition_end[node_id] = math.inf
-                    fault_waking.discard(node_id)
+            if next_transition <= time_s + _COMPLETION_EPS:
+                for node_id in range(num_nodes):
+                    if transition_end[node_id] <= time_s + _COMPLETION_EPS:
+                        node_state[node_id] = (
+                            GATED if node_state[node_id] == GATING else ACTIVE
+                        )
+                        transition_end[node_id] = math.inf
+                        fault_waking.discard(node_id)
 
-            apply_due_faults()
+            if fault_cursor < len(timeline):
+                apply_due_faults()
 
             # Retry backoffs that have elapsed re-enter the queue.
             while (
@@ -1010,8 +646,10 @@ class ClusterSimulator:
                 _, index = heapq.heappop(retry_ready)
                 held.append(index)
 
-            # Arrivals join the held queue; ``job_start_s`` stays the
-            # arrival, so outage waits land in response times.
+            # Arrivals join the held queue.  The admission window extends
+            # _COMPLETION_EPS past now, so clamp: a job must never be
+            # recorded as starting before it arrived (that would bias
+            # queueing delay negative).
             while (
                 cursor < len(order)
                 and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
@@ -1029,13 +667,10 @@ class ClusterSimulator:
                 still_held: list[int] = []
                 for index in held:
                     needed = needed_nodes(index)
-                    if any(crashed.get(n) == math.inf for n in needed):
+                    if crashed and any(crashed.get(n) == math.inf for n in needed):
                         drop_job(index)
                     elif all(node_state[n] == ACTIVE for n in needed):
-                        self._advance_job(
-                            jobs, index, 0, live, phase_live_count,
-                            job_phase, time_s, job_completion,
-                        )
+                        advance_job(index, 0)
                     else:
                         still_held.append(index)
                 held = still_held
@@ -1043,35 +678,22 @@ class ClusterSimulator:
             if live or held:
                 last_busy_s = time_s
 
-            # Control tick (dynamic policies only): identical to the
-            # controlled loop, except a crashed node can be neither gated
-            # (it is not active) nor woken (rebooting is the nemesis's
-            # call, not the policy's).
-            if dynamic and next_tick_s <= time_s + _COMPLETION_EPS:
+            # Control tick: the policy observes and acts.  Invalid actions
+            # (gating a node that live flows demand, waking a node that is
+            # not gated or is crashed) are dropped — the controller races
+            # the cluster.
+            if next_tick_s <= time_s + _COMPLETION_EPS:
                 ticks += 1
-                effective = [
-                    factors[n] * fault_mult[n] for n in range(num_nodes)
-                ]
                 if live:
-                    rates, bindings = self._allocate(
-                        live, effective, net_factor=net_mult
-                    )
+                    rates, bindings = self._allocate(live, effective, net_mult)
                 else:
                     rates, bindings = [], []
-                cpu_rates = [0.0] * num_nodes
-                for flow, rate in zip(live, rates):
-                    for resource, coef in flow.spec.demands.items():
-                        kind, _, node = resource.partition(":")
-                        if kind == CPU:
-                            cpu_rates[int(node)] += coef * rate
+                cpu_rates = cpu_rates_of(rates)
                 loads = tuple(
                     min(
                         1.0,
                         cpu_rates[n]
-                        / (
-                            self.pool.node_spec(n).cpu_bandwidth_mbps
-                            * effective[n]
-                        ),
+                        / (specs[n].cpu_bandwidth_mbps * effective[n]),
                     )
                     if node_state[n] == ACTIVE
                     else 0.0
@@ -1088,6 +710,8 @@ class ClusterSimulator:
                     held_jobs=len(held),
                     idle_s=time_s - last_busy_s,
                 )
+                # A running job owns every node any of its phases demands —
+                # gating one mid-job would strand a later phase.
                 demanded = frozenset(
                     node
                     for flow in live
@@ -1123,9 +747,13 @@ class ClusterSimulator:
                             else:
                                 node_state[node_id] = ACTIVE
                     elif isinstance(action, SetFrequency):
-                        if 0 <= action.node_id < num_nodes:
+                        node_id = action.node_id
+                        if 0 <= node_id < num_nodes:
                             freq_actions += 1
-                            factors[action.node_id] = action.frequency_factor
+                            factors[node_id] = action.frequency_factor
+                            effective[node_id] = (
+                                factors[node_id] * fault_mult[node_id]
+                            )
                     else:
                         raise SimulationError(
                             f"unknown control action: {action!r}"
@@ -1133,47 +761,42 @@ class ClusterSimulator:
                 while next_tick_s <= time_s + _COMPLETION_EPS:
                     next_tick_s += control_interval_s
 
-            pending = [end for end in transition_end if math.isfinite(end)]
+            next_transition = min(transition_end)
 
             if not live:
                 if cursor >= len(order) and not held and not retry_ready:
-                    break  # nothing left; trailing faults don't extend the run
-                targets = list(pending)
+                    break  # trailing transitions and faults don't extend the run
+                target = min(next_transition, next_tick_s)
                 if cursor < len(order):
-                    targets.append(jobs[order[cursor]].start_time_s)
-                if dynamic:
-                    targets.append(next_tick_s)
+                    target = min(target, jobs[order[cursor]].start_time_s)
                 if fault_cursor < len(timeline):
-                    targets.append(timeline[fault_cursor][0])
+                    target = min(target, timeline[fault_cursor][0])
                 if retry_ready:
-                    targets.append(retry_ready[0][0])
-                if not targets:
+                    target = min(target, retry_ready[0][0])
+                if target == math.inf:
                     raise SimulationError(
                         "simulation stalled: jobs are waiting on nodes "
                         "that will never become active"
                     )
-                target = min(targets)
+                # Idle stretches still draw power, and ticks still fire:
+                # that is when gating happens (and how held jobs get their
+                # nodes woken).
                 bindings = []
                 integrate([], target - time_s)
                 time_s = max(time_s, target)
                 continue
 
-            rates, bindings = self._allocate(
-                live,
-                [factors[n] * fault_mult[n] for n in range(num_nodes)],
-                net_factor=net_mult,
-            )
+            rates, bindings = self._allocate(live, effective, net_mult)
 
+            # Next event: the earliest flow completion, arrival, tick,
+            # transition end, fault, or retry.
             dt = math.inf
             for flow, rate in zip(live, rates):
                 if rate > 0:
                     dt = min(dt, flow.remaining_mb / rate)
             if cursor < len(order):
                 dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
-            if dynamic:
-                dt = min(dt, next_tick_s - time_s)
-            for end in pending:
-                dt = min(dt, end - time_s)
+            dt = min(dt, next_tick_s - time_s, next_transition - time_s)
             if fault_cursor < len(timeline):
                 dt = min(dt, timeline[fault_cursor][0] - time_s)
             if retry_ready:
@@ -1189,6 +812,7 @@ class ClusterSimulator:
                 flow.remaining_mb -= rate * dt
             time_s += dt
 
+            # Retire completed flows and release phase barriers.
             finished = [flow for flow in live if flow.done]
             if finished:
                 live = [flow for flow in live if not flow.done]
@@ -1198,10 +822,7 @@ class ClusterSimulator:
                     touched_jobs.add(flow.job_index)
                 for index in touched_jobs:
                     if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
+                        advance_job(index, job_phase[index] + 1)
 
         if not job_completion:
             raise SimulationError(
@@ -1210,11 +831,17 @@ class ClusterSimulator:
             )
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.count("sim.faulted_runs")
+            if timeline:
+                telemetry.count("sim.faulted_runs")
+            elif dynamic:
+                telemetry.count("sim.controlled_runs")
+            else:
+                telemetry.count("sim.runs")
             telemetry.count("sim.events", events)
-            telemetry.count("sim.faults.onsets", survived)
-            telemetry.count("sim.faults.retried_jobs", retried)
-            telemetry.count("sim.faults.dropped_jobs", len(dropped))
+            if timeline:
+                telemetry.count("sim.faults.onsets", survived)
+                telemetry.count("sim.faults.retried_jobs", retried)
+                telemetry.count("sim.faults.dropped_jobs", len(dropped))
             if dynamic:
                 telemetry.count("sim.control.ticks", ticks)
                 telemetry.count("sim.control.gate_actions", gate_actions)
@@ -1236,6 +863,7 @@ class ClusterSimulator:
             faults_survived=survived,
         )
 
+    # ----------------------------------------------------------------- helpers
     def _job_nodes(self, job: Job) -> frozenset[int]:
         """Every node id any flow of ``job`` demands (any resource kind)."""
         return frozenset(
@@ -1246,14 +874,12 @@ class ClusterSimulator:
         )
 
     def _dvfs_spec(self, node_id: int, factor: float):
-        """The node's spec at a policy-set DVFS factor (memoized).
+        """The node's spec at a DVFS factor other than 1.0 (memoized).
 
         The factor composes with whatever DVFS state the candidate baked
         into the spec: linear CPU-bandwidth scaling, cubic dynamic power
         (:func:`~repro.hardware.dvfs.dvfs_variant`).
         """
-        if factor == 1.0:
-            return self.pool.node_spec(node_id)
         cache = getattr(self, "_dvfs_cache", None)
         if cache is None:
             cache = self._dvfs_cache = {}
@@ -1265,7 +891,6 @@ class ClusterSimulator:
             spec = cache[key] = dvfs_variant(self.pool.node_spec(node_id), factor)
         return spec
 
-    # ----------------------------------------------------------------- helpers
     def _validate(self, jobs: Sequence[Job]) -> None:
         if not jobs:
             raise SimulationError("no jobs to run")
@@ -1282,60 +907,17 @@ class ClusterSimulator:
                                 f"unknown resource {resource!r}"
                             )
 
-    def _advance_job(
-        self,
-        jobs: Sequence[Job],
-        job_index: int,
-        start_phase: int,
-        live: list[_LiveFlow],
-        phase_live_count: list[int],
-        job_phase: list,
-        time_s: float,
-        job_completion: dict[str, float],
-    ) -> None:
-        """Admit phases from ``start_phase`` on, skipping all-empty ones."""
-        phase_index = start_phase
-        while True:
-            if phase_index >= len(jobs[job_index].phases):
-                job_completion[jobs[job_index].name] = time_s
-                job_phase[job_index] = None
-                return
-            self._admit_phase(jobs, job_index, phase_index, live, phase_live_count, job_phase)
-            if phase_live_count[job_index] > 0:
-                return
-            phase_index += 1
-
-    def _admit_phase(
-        self,
-        jobs: Sequence[Job],
-        job_index: int,
-        phase_index: int,
-        live: list[_LiveFlow],
-        phase_live_count: list[int],
-        job_phase: list,
-    ) -> None:
-        job_phase[job_index] = phase_index
-        count = 0
-        for flow in jobs[job_index].phases[phase_index].flows:
-            if flow.volume_mb > 0:
-                live.append(
-                    _LiveFlow(flow, job_index, phase_index, jobs[job_index].name)
-                )
-                count += 1
-        phase_live_count[job_index] = count
-
     def _allocate(
         self,
         live: Sequence[_LiveFlow],
-        factors: Sequence[float] | None = None,
-        net_factor: float = 1.0,
+        factors: Sequence[float],
+        net_factor: float,
     ) -> tuple[list[float], list[str]]:
         capacities = self.pool.capacities()
-        if factors is not None:
-            # Policy-set DVFS: CPU capacity scales linearly with the factor.
-            for node_id, factor in enumerate(factors):
-                if factor != 1.0:
-                    capacities[f"{CPU}:{node_id}"] *= factor
+        # DVFS (policy-set and straggler): CPU capacity scales linearly.
+        for node_id, factor in enumerate(factors):
+            if factor != 1.0:
+                capacities[f"{CPU}:{node_id}"] *= factor
         network_flows = sum(
             1
             for flow in live
@@ -1350,43 +932,3 @@ class ClusterSimulator:
         return max_min_fair_allocation(
             [flow.spec.demands for flow in live], capacities
         )
-
-    def _integrate(
-        self,
-        live: Sequence[_LiveFlow],
-        rates: Sequence[float],
-        bindings: Sequence[str],
-        time_s: float,
-        dt: float,
-        node_energy: list[float],
-        intervals: list[Interval],
-    ) -> None:
-        if dt <= 0:
-            return
-        cpu_rates = [0.0] * self.pool.num_nodes
-        for flow, rate in zip(live, rates):
-            for resource, coef in flow.spec.demands.items():
-                kind, _, node = resource.partition(":")
-                if kind == CPU:
-                    cpu_rates[int(node)] += coef * rate
-        utils = []
-        powers = []
-        for node_id in self.pool.node_ids():
-            spec = self.pool.node_spec(node_id)
-            util = spec.utilization(cpu_rates[node_id])
-            watts = spec.power_model.power(util)
-            utils.append(util)
-            powers.append(watts)
-            node_energy[node_id] += watts * dt
-        if self.record_intervals:
-            intervals.append(
-                Interval(
-                    start_s=time_s,
-                    end_s=time_s + dt,
-                    node_utilization=tuple(utils),
-                    node_power_w=tuple(powers),
-                    flow_names=tuple(flow.spec.name for flow in live),
-                    flow_bindings=tuple(bindings),
-                    flow_jobs=tuple(flow.job_name for flow in live),
-                )
-            )

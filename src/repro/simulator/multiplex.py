@@ -18,7 +18,8 @@ input order, matching the scalar load-dict accumulation; ``np.clip``
 equals the scalar ``clamp``; power-model evaluation stays scalar Python,
 where exponentiation is bit-exact), and the per-lane control flow —
 admission, idle gaps, phase barriers, flow retirement — replicates the
-scalar event loop statement for statement.  The serial engine is the
+serial event loop as it runs without a dynamic policy or faults (every
+node active, no job ever held).  The serial engine is the
 *oracle*; ``tests/simulator/test_multiplex.py`` property-tests the
 equivalence.
 

@@ -24,8 +24,11 @@ What gets recorded (when enabled):
   snapshot ships back over the chunk-result channel and merges under the
   parent's ``search.dispatch``), plus ``search.dispatch.chunks`` /
   ``search.dispatch.tasks`` / ``search.dispatch.retries`` counters;
-* the simulators — ``sim.runs`` / ``sim.events``, control-policy action
-  counters (``sim.control.*``), fault accounting (``sim.faults.*``), and
+* the simulators — one run counter per serial replay (``sim.runs`` for
+  a plain run, ``sim.controlled_runs`` with a dynamic policy,
+  ``sim.faulted_runs`` with a non-empty fault schedule) and
+  ``sim.events``, control-policy action counters (``sim.control.*``),
+  fault accounting (``sim.faults.*``), and
   the multiplexed loop's iteration and allocation-kernel batch-size
   counters (``sim.multiplex.*``);
 * ``Study.report()`` renders the registry,

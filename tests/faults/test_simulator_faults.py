@@ -1,4 +1,5 @@
-"""Fault injection inside :class:`ClusterSimulator`: the nemesis loop."""
+"""Fault injection inside :class:`ClusterSimulator`: crashes, stragglers,
+network degrades and the failure policy, replayed by ``run``."""
 
 import math
 
@@ -289,6 +290,21 @@ def test_empty_schedule_parity_property(volumes, starts):
         for i, volume in enumerate(volumes)
     ]
     assert sim.run(jobs, faults=FaultSchedule()) == sim.run(jobs)
+
+
+@pytest.mark.parametrize(
+    "faults, type_name",
+    [
+        ([NodeCrash(node=0, at_s=0.1, recover_at_s=2.0)], "list"),
+        ((NodeCrash(node=0, at_s=0.1),), "tuple"),
+        (NodeCrash(node=0, at_s=0.1), "NodeCrash"),
+    ],
+)
+def test_faults_that_are_not_a_schedule_raise(faults, type_name):
+    """A bare event list must not replay as a healthy run."""
+    sim = simulator()
+    with pytest.raises(SimulationError, match=f"got {type_name}$"):
+        sim.run([cpu_job("a", 1000.0)], faults=faults)
 
 
 def test_faulted_runs_are_deterministic():

@@ -1,8 +1,8 @@
 """Node power states under dynamic control policies.
 
-Exercises the controlled event loop (`ClusterSimulator._run_controlled`):
-gating and waking around idle stretches, the wake-up latency penalty on
-held jobs, per-state energy pricing, and exact parity of the static path.
+Exercises `ClusterSimulator.run` with a control policy attached: gating
+and waking around idle stretches, the wake-up latency penalty on held
+jobs, per-state energy pricing, and exact parity of the static path.
 """
 
 import pytest
