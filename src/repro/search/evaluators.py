@@ -49,7 +49,7 @@ from repro.search.grid import DesignCandidate
 from repro.simulator.engine import SimulationResult
 from repro.simulator.multiplex import run_multiplexed
 from repro.telemetry import capture, get_telemetry
-from repro.workloads.protocol import TimedTrace, Workload, as_workload
+from repro.workloads.protocol import TimedTrace, Workload, as_workload, is_timed
 from repro.workloads.queries import JoinWorkloadSpec
 
 __all__ = [
@@ -253,6 +253,7 @@ class SearchEvaluator(abc.ABC):
         (:class:`SimulatorEvaluator` multiplexes the whole batch onto one
         event loop) while producing bit-identical records.
         """
+        _require_timed_trace(trace)
         get_telemetry().count("evaluator.trace_evals", len(candidates))
         return [
             evaluate_timed_design(self, candidate, trace)
@@ -635,6 +636,7 @@ class SimulatorEvaluator(SearchEvaluator):
         Flat-rate cost models price from the energy total and stay on the
         fast path.
         """
+        _require_timed_trace(trace)
         telemetry = get_telemetry()
         telemetry.count("evaluator.trace_evals", len(candidates))
         faults = getattr(trace, "faults", None)
@@ -780,6 +782,17 @@ def evaluate_chunk(
     """Worker entry point for workload-granular dispatch (legacy)."""
     evaluator, workload, candidates = payload
     return [evaluate_design(evaluator, candidate, workload) for candidate in candidates]
+
+
+def _require_timed_trace(trace) -> None:
+    """Reject a ``trace`` argument of ``evaluate_trace_batch`` that carries
+    no arrival schedule (most often the arguments passed swapped)."""
+    if not is_timed(trace):
+        raise ConfigurationError(
+            "evaluate_trace_batch(trace, candidates) expects a timed trace "
+            "(TimedTrace or FaultedTrace) and then a sequence of "
+            f"DesignCandidate; got a {type(trace).__name__} as the trace"
+        )
 
 
 def evaluate_timed_design(

@@ -28,6 +28,24 @@ until every node it needs is active again, so wake-up and recovery
 latency show up in its response time exactly where a production cluster
 would pay them.  Without a dynamic policy or a fault, every node stays
 active and the loop replays the plain max-min fair schedule.
+
+Per-composition memo
+--------------------
+Between two events the allocation is a pure function of the *live
+composition*: the ordered specs of the live flows, every node's effective
+DVFS factor, and the network degrade factor.  Trace jobs share interned
+:class:`~repro.simulator.jobs.FlowSpec` objects, so compositions repeat
+far more often than they change.  ``run`` therefore keeps a memo for the
+run, keyed by ``(spec ids in live order, effective factors, network
+factor)``, that holds the rates and bottleneck bindings, the per-node CPU
+rates (which feed both energy integration and a control tick's loads) and
+each node's active-state utilization and watts.  Live order stays in the
+key, so every float is computed by the same operations in the same order
+as without the memo, and records are bit-identical.  Per event only what
+the composition does not fix stays: pricing the non-active nodes by
+state, the next-event scan and the volume decrements.  A full memo
+(``_MEMO_ENTRIES`` compositions) starts over, which bounds its memory on
+traces whose jobs share no specs.
 """
 
 from __future__ import annotations
@@ -42,7 +60,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.simulator.allocation import max_min_fair_allocation
 from repro.simulator.jobs import FlowSpec, Job
 from repro.simulator.network import IDEAL_SWITCH, SwitchModel
-from repro.simulator.resources import CPU, ResourcePool
+from repro.simulator.resources import CPU, NETWORK_KINDS, ResourcePool
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -56,6 +74,8 @@ __all__ = [
 ]
 
 _COMPLETION_EPS = 1e-9
+#: most live compositions one run memoizes at a time
+_MEMO_ENTRIES = 1024
 
 #: node power states (re-exported by :mod:`repro.policy.policies`)
 ACTIVE = "active"
@@ -178,7 +198,16 @@ class SimulationResult:
 
 
 class _LiveFlow:
-    __slots__ = ("spec", "job_index", "phase_index", "remaining_mb", "job_name", "cpu")
+    __slots__ = (
+        "spec",
+        "job_index",
+        "phase_index",
+        "remaining_mb",
+        "floor",
+        "job_name",
+        "cpu",
+        "network",
+    )
 
     def __init__(
         self,
@@ -186,30 +215,55 @@ class _LiveFlow:
         job_index: int,
         phase_index: int,
         job_name: str,
-        cpu: tuple[tuple[int, float], ...],
+        demands: tuple[tuple[tuple[int, float], ...], bool],
     ):
         self.spec = spec
         self.job_index = job_index
         self.phase_index = phase_index
         self.remaining_mb = spec.volume_mb
+        #: the flow is done once ``remaining_mb`` falls to this
+        self.floor = _COMPLETION_EPS * max(1.0, spec.volume_mb)
         self.job_name = job_name
-        #: ``((node, coef), ...)``: the CPU entries of ``spec.demands``
-        self.cpu = cpu
-
-    @property
-    def done(self) -> bool:
-        return self.remaining_mb <= _COMPLETION_EPS * max(1.0, self.spec.volume_mb)
+        #: ``((node, coef), ...)``: the CPU entries of ``spec.demands``;
+        #: whether the flow uses a NIC
+        self.cpu, self.network = demands
 
 
-def _cpu_demands(spec: FlowSpec) -> tuple[tuple[int, float], ...]:
+class _Composition:
+    """The memoized allocation state of one live composition."""
+
+    __slots__ = ("rates", "bindings", "cpu_rates", "names", "active", "utils", "powers")
+
+    def __init__(self, rates, bindings, cpu_rates, names, num_nodes: int):
+        self.rates = rates
+        #: per-flow binding resource, parallel to ``rates``
+        self.bindings = bindings
+        #: per-node CPU processing rate
+        self.cpu_rates = cpu_rates
+        #: per-flow spec name, parallel to ``rates``
+        self.names = names
+        #: per-node ``(utilization, watts)`` while active, filled on first
+        #: use (a node's DVFS variant is only built once it is active)
+        self.active: list[tuple[float, float] | None] = [None] * num_nodes
+        #: per-node utilization and watts with every node active (filled
+        #: on first use)
+        self.utils: tuple[float, ...] | None = None
+        self.powers: tuple[float, ...] | None = None
+
+
+def _flow_demands(spec: FlowSpec) -> tuple[tuple[tuple[int, float], ...], bool]:
     """``((node, coef), ...)`` for the CPU resources ``spec`` demands, in
-    ``spec.demands`` order (so per-node sums keep their float op order)."""
+    ``spec.demands`` order (so per-node sums keep their float op order),
+    and whether ``spec`` demands a network resource."""
     pairs = []
+    network = False
     for resource, coef in spec.demands.items():
         kind, _, node = resource.partition(":")
         if kind == CPU:
             pairs.append((int(node), coef))
-    return tuple(pairs)
+        elif kind in NETWORK_KINDS:
+            network = True
+    return tuple(pairs), network
 
 
 class ClusterSimulator:
@@ -302,7 +356,9 @@ class ClusterSimulator:
 
         With telemetry enabled the run counts ``sim.faulted_runs`` (a
         non-empty schedule), else ``sim.controlled_runs`` (a dynamic
-        policy), else ``sim.runs``; plus ``sim.events``, the
+        policy), else ``sim.runs``; plus ``sim.events``, the allocator
+        runs (``sim.alloc.calls``, one per distinct live composition), the
+        allocations served from the memo (``sim.alloc.memo_hits``), the
         ``sim.control.*`` actions with a dynamic policy and the
         ``sim.faults.*`` accounting with a non-empty schedule.
         """
@@ -397,9 +453,9 @@ class ClusterSimulator:
         held: list[int] = []
         # Trace jobs share phase tuples and flow specs (template
         # interning), so the demanded-node set is computed once per
-        # distinct template and the CPU demands once per distinct spec.
+        # distinct template and the demand facts once per distinct spec.
         node_sets: dict[int, frozenset[int]] = {}
-        cpu_table: dict[int, tuple[tuple[int, float], ...]] = {}
+        demand_table: dict[int, tuple[tuple[tuple[int, float], ...], bool]] = {}
 
         def needed_nodes(index: int) -> frozenset[int]:
             key = id(jobs[index].phases)
@@ -416,10 +472,12 @@ class ClusterSimulator:
                 count = 0
                 for spec in job.phases[phase_index].flows:
                     if spec.volume_mb > 0:
-                        cpu = cpu_table.get(id(spec))
-                        if cpu is None:
-                            cpu = cpu_table[id(spec)] = _cpu_demands(spec)
-                        live.append(_LiveFlow(spec, index, phase_index, job.name, cpu))
+                        demands = demand_table.get(id(spec))
+                        if demands is None:
+                            demands = demand_table[id(spec)] = _flow_demands(spec)
+                        live.append(
+                            _LiveFlow(spec, index, phase_index, job.name, demands)
+                        )
                         count += 1
                 phase_live_count[index] = count
                 if count:
@@ -440,56 +498,120 @@ class ClusterSimulator:
                     cpu_rates[node] += coef * rate
             return cpu_rates
 
-        def integrate(rates: Sequence[float], dt: float) -> None:
+        # The allocation state of each live composition, memoized for the
+        # run (see the module docstring).  The key holds spec ids, which
+        # stay valid because ``jobs`` keeps every spec alive until return.
+        memo: dict[tuple, _Composition] = {}
+        alloc_calls = 0
+        memo_hits = 0
+
+        def composition() -> _Composition:
+            nonlocal alloc_calls, memo_hits
+            key = (tuple([id(flow.spec) for flow in live]), tuple(effective), net_mult)
+            entry = memo.get(key)
+            if entry is None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    # Compositions that never repeat (jobs that share no
+                    # specs) would otherwise grow the memo every event.
+                    memo.clear()
+                if live:
+                    alloc_calls += 1
+                    rates, bindings = self._allocate(live, effective, net_mult)
+                else:
+                    rates, bindings = [], []
+                entry = memo[key] = _Composition(
+                    rates,
+                    tuple(bindings),
+                    cpu_rates_of(rates),
+                    tuple(flow.spec.name for flow in live),
+                    num_nodes,
+                )
+            elif live:
+                memo_hits += 1
+            return entry
+
+        # Watts of the non-active states, per node: fixed for the run by
+        # the node's spec and the policy's or failure model's transitions.
+        idle_w = [spec.idle_power_w for spec in specs] if dynamic else []
+        gated_w = [model.gated_power_w(spec) for spec in specs] if dynamic else []
+        switching_w = (
+            [model.transition_power_fraction * spec.peak_power_w for spec in specs]
+            if dynamic
+            else []
+        )
+        crashed_w = (
+            [fault_model.gated_power_w(spec) for spec in specs] if timeline else []
+        )
+        booting_w = (
+            [fault_model.transition_power_fraction * spec.peak_power_w for spec in specs]
+            if timeline
+            else []
+        )
+
+        def active_power(entry: _Composition, node_id: int) -> tuple[float, float]:
+            """``(utilization, watts)`` of an active node, memoized in ``entry``."""
+            pair = entry.active[node_id]
+            if pair is None:
+                spec = specs[node_id]
+                if effective[node_id] != 1.0:
+                    spec = self._dvfs_spec(node_id, effective[node_id])
+                util = spec.utilization(entry.cpu_rates[node_id])
+                pair = entry.active[node_id] = (util, spec.power_model.power(util))
+            return pair
+
+        def integrate(entry: _Composition, dt: float) -> None:
             """Per-state energy; crashes and recoveries price separately."""
             nonlocal gated_seconds, energy_saved, recovery_energy
             if dt <= 0:
                 return
-            cpu_rates = cpu_rates_of(rates)
-            utils = []
-            powers = []
-            for node_id in range(num_nodes):
-                spec = specs[node_id]
-                state = node_state[node_id]
-                if state == ACTIVE:
-                    if effective[node_id] != 1.0:
-                        spec = self._dvfs_spec(node_id, effective[node_id])
-                    util = spec.utilization(cpu_rates[node_id])
-                    watts = spec.power_model.power(util)
-                else:
-                    util = 0.0
-                    if node_id in crashed:
-                        # A crashed node draws the failure model's standby
-                        # residual.  No savings credit: a crash is not a
-                        # policy decision.
-                        watts = fault_model.gated_power_w(spec)
-                    elif node_id in fault_waking:
-                        watts = (
-                            fault_model.transition_power_fraction
-                            * spec.peak_power_w
-                        )
-                        recovery_energy += watts * dt
-                    elif state == GATED:
-                        watts = model.gated_power_w(spec)
-                        gated_seconds += dt
-                        energy_saved += (spec.idle_power_w - watts) * dt
-                    else:  # policy-driven gating or waking
-                        watts = (
-                            model.transition_power_fraction * spec.peak_power_w
-                        )
-                        energy_saved += (spec.idle_power_w - watts) * dt
-                utils.append(util)
-                powers.append(watts)
-                node_energy[node_id] += watts * dt
+            if node_state.count(ACTIVE) == num_nodes:
+                # The common case: the composition fixes every node's watts.
+                if entry.powers is None:
+                    pairs = [active_power(entry, n) for n in range(num_nodes)]
+                    entry.utils = tuple(util for util, _ in pairs)
+                    entry.powers = tuple(watts for _, watts in pairs)
+                utils = entry.utils
+                powers = entry.powers
+                for node_id, watts in enumerate(powers):
+                    node_energy[node_id] += watts * dt
+            else:
+                utils = []
+                powers = []
+                for node_id in range(num_nodes):
+                    state = node_state[node_id]
+                    if state == ACTIVE:
+                        util, watts = active_power(entry, node_id)
+                    else:
+                        util = 0.0
+                        if node_id in crashed:
+                            # A crashed node draws the failure model's
+                            # standby residual.  No savings credit: a crash
+                            # is not a policy decision.
+                            watts = crashed_w[node_id]
+                        elif node_id in fault_waking:
+                            watts = booting_w[node_id]
+                            recovery_energy += watts * dt
+                        elif state == GATED:
+                            watts = gated_w[node_id]
+                            gated_seconds += dt
+                            energy_saved += (idle_w[node_id] - watts) * dt
+                        else:  # policy-driven gating or waking
+                            watts = switching_w[node_id]
+                            energy_saved += (idle_w[node_id] - watts) * dt
+                    utils.append(util)
+                    powers.append(watts)
+                    node_energy[node_id] += watts * dt
+                utils = tuple(utils)
+                powers = tuple(powers)
             if self.record_intervals:
                 intervals.append(
                     Interval(
                         start_s=time_s,
                         end_s=time_s + dt,
-                        node_utilization=tuple(utils),
-                        node_power_w=tuple(powers),
-                        flow_names=tuple(flow.spec.name for flow in live),
-                        flow_bindings=tuple(bindings),
+                        node_utilization=utils,
+                        node_power_w=powers,
+                        flow_names=entry.names,
+                        flow_bindings=entry.bindings,
                         flow_jobs=tuple(flow.job_name for flow in live),
                     )
                 )
@@ -609,7 +731,6 @@ class ClusterSimulator:
 
         last_busy_s = 0.0
         next_tick_s = control_interval_s if dynamic else math.inf
-        bindings: Sequence[str] = []
         events = 0
         # Telemetry accumulates in locals (plain int adds in the hot loop)
         # and flushes once at the return below.
@@ -684,11 +805,8 @@ class ClusterSimulator:
             # the cluster.
             if next_tick_s <= time_s + _COMPLETION_EPS:
                 ticks += 1
-                if live:
-                    rates, bindings = self._allocate(live, effective, net_mult)
-                else:
-                    rates, bindings = [], []
-                cpu_rates = cpu_rates_of(rates)
+                cpu_rates = composition().cpu_rates
+                live_jobs = {flow.job_index for flow in live}
                 loads = tuple(
                     min(
                         1.0,
@@ -705,18 +823,13 @@ class ClusterSimulator:
                     node_states=tuple(node_state),
                     node_utilization=loads,
                     frequency_factors=tuple(factors),
-                    queue_depth=len({flow.job_index for flow in live})
-                    + len(held),
+                    queue_depth=len(live_jobs) + len(held),
                     held_jobs=len(held),
                     idle_s=time_s - last_busy_s,
                 )
                 # A running job owns every node any of its phases demands —
                 # gating one mid-job would strand a later phase.
-                demanded = frozenset(
-                    node
-                    for flow in live
-                    for node in needed_nodes(flow.job_index)
-                )
+                demanded = frozenset().union(*map(needed_nodes, live_jobs))
                 for action in policy.observe(snapshot):
                     if isinstance(action, GateNode):
                         node_id = action.node_id
@@ -781,19 +894,21 @@ class ClusterSimulator:
                 # Idle stretches still draw power, and ticks still fire:
                 # that is when gating happens (and how held jobs get their
                 # nodes woken).
-                bindings = []
-                integrate([], target - time_s)
+                integrate(composition(), target - time_s)
                 time_s = max(time_s, target)
                 continue
 
-            rates, bindings = self._allocate(live, effective, net_mult)
+            entry = composition()
+            rates = entry.rates
 
             # Next event: the earliest flow completion, arrival, tick,
             # transition end, fault, or retry.
             dt = math.inf
             for flow, rate in zip(live, rates):
                 if rate > 0:
-                    dt = min(dt, flow.remaining_mb / rate)
+                    step = flow.remaining_mb / rate
+                    if step < dt:
+                        dt = step
             if cursor < len(order):
                 dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
             dt = min(dt, next_tick_s - time_s, next_transition - time_s)
@@ -807,15 +922,17 @@ class ClusterSimulator:
                     "pending events"
                 )
 
-            integrate(rates, dt)
+            integrate(entry, dt)
+            finished = []
             for flow, rate in zip(live, rates):
                 flow.remaining_mb -= rate * dt
+                if flow.remaining_mb <= flow.floor:
+                    finished.append(flow)
             time_s += dt
 
             # Retire completed flows and release phase barriers.
-            finished = [flow for flow in live if flow.done]
             if finished:
-                live = [flow for flow in live if not flow.done]
+                live = [flow for flow in live if not flow.remaining_mb <= flow.floor]
                 touched_jobs = set()
                 for flow in finished:
                     phase_live_count[flow.job_index] -= 1
@@ -838,6 +955,8 @@ class ClusterSimulator:
             else:
                 telemetry.count("sim.runs")
             telemetry.count("sim.events", events)
+            telemetry.count("sim.alloc.calls", alloc_calls)
+            telemetry.count("sim.alloc.memo_hits", memo_hits)
             if timeline:
                 telemetry.count("sim.faults.onsets", survived)
                 telemetry.count("sim.faults.retried_jobs", retried)
@@ -892,14 +1011,27 @@ class ClusterSimulator:
         return spec
 
     def _validate(self, jobs: Sequence[Job]) -> None:
+        """Reject an empty job list, duplicate job names, and flows that
+        demand a resource the cluster lacks.
+
+        Jobs replayed from a trace share :class:`FlowSpec` objects, so
+        each distinct spec is checked against the pool once (the first
+        job that carries it is the one an error names).  Both the serial
+        loop and :func:`~repro.simulator.multiplex.run_multiplexed` call
+        this.
+        """
         if not jobs:
             raise SimulationError("no jobs to run")
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise SimulationError(f"duplicate job names: {names}")
+        seen: set[int] = set()
         for job in jobs:
             for phase in job.phases:
                 for flow in phase.flows:
+                    if id(flow) in seen:
+                        continue
+                    seen.add(id(flow))
                     for resource in flow.demands:
                         if resource not in self.pool:
                             raise SimulationError(
@@ -918,11 +1050,7 @@ class ClusterSimulator:
         for node_id, factor in enumerate(factors):
             if factor != 1.0:
                 capacities[f"{CPU}:{node_id}"] *= factor
-        network_flows = sum(
-            1
-            for flow in live
-            if any(self.pool.is_network(r) for r in flow.spec.demands)
-        )
+        network_flows = sum(1 for flow in live if flow.network)
         # Fault-injected degradation composes with switch contention.
         efficiency = self.switch.efficiency(network_flows) * net_factor
         if efficiency < 1.0:

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -35,14 +36,19 @@ class FlowSpec:
     demands: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.volume_mb):
+            raise ConfigurationError(
+                f"flow {self.name!r}: volume must be finite, got {self.volume_mb}"
+            )
         if self.volume_mb < 0:
             raise ConfigurationError(f"flow {self.name!r}: negative volume {self.volume_mb}")
         if self.volume_mb > 0 and not self.demands:
             raise ConfigurationError(f"flow {self.name!r} has volume but no demands")
         for resource, coef in self.demands.items():
-            if coef <= 0:
+            if not (0 < coef < math.inf):
                 raise ConfigurationError(
-                    f"flow {self.name!r}: coefficient on {resource!r} must be > 0, got {coef}"
+                    f"flow {self.name!r}: coefficient on {resource!r} must be "
+                    f"finite and > 0, got {coef}"
                 )
 
 

@@ -26,8 +26,10 @@ What gets recorded (when enabled):
   ``search.dispatch.tasks`` / ``search.dispatch.retries`` counters;
 * the simulators — one run counter per serial replay (``sim.runs`` for
   a plain run, ``sim.controlled_runs`` with a dynamic policy,
-  ``sim.faulted_runs`` with a non-empty fault schedule) and
-  ``sim.events``, control-policy action counters (``sim.control.*``),
+  ``sim.faulted_runs`` with a non-empty fault schedule),
+  ``sim.events``, the serial loop's allocator runs and allocation-memo
+  hits (``sim.alloc.calls`` / ``sim.alloc.memo_hits``), control-policy
+  action counters (``sim.control.*``),
   fault accounting (``sim.faults.*``), and
   the multiplexed loop's iteration and allocation-kernel batch-size
   counters (``sim.multiplex.*``);

@@ -108,6 +108,12 @@ class TestEvaluateTrace:
         with pytest.raises(ConfigurationError, match="arrival times"):
             ModelEvaluator().evaluate_trace(candidate, small_trace())
 
+    @pytest.mark.parametrize("evaluator", [SimulatorEvaluator(), ModelEvaluator()])
+    def test_batch_with_swapped_arguments_names_the_expected_types(self, evaluator):
+        candidates = GRID.candidate_list()
+        with pytest.raises(ConfigurationError, match="TimedTrace or FaultedTrace"):
+            evaluator.evaluate_trace_batch(candidates, small_trace())
+
 
 class TestTimedSearch:
     def test_search_populates_latency_and_caches(self):

@@ -3,14 +3,23 @@ and ``Study.report()`` read.
 
 Each run counts exactly one of ``sim.runs`` (plain), ``sim.controlled_runs``
 (dynamic policy) and ``sim.faulted_runs`` (non-empty fault schedule, with
-or without a policy), plus ``sim.events``; ``sim.control.*`` appears only
-with a dynamic policy and ``sim.faults.*`` only with a non-empty schedule.
+or without a policy), plus ``sim.events`` and the allocation memo's
+``sim.alloc.calls`` / ``sim.alloc.memo_hits``; ``sim.control.*`` appears
+only with a dynamic policy and ``sim.faults.*`` only with a non-empty
+schedule.
 """
 
 import pytest
 
 from repro.faults import FaultSchedule
+from repro.hardware.cluster import ClusterSpec
+from repro.hardware.presets import CLUSTER_V_NODE
 from repro.policy import StaticPolicy
+from repro.simulator import engine
+from repro.simulator.engine import ClusterSimulator
+from repro.simulator.jobs import FlowSpec, Job, Phase
+from repro.simulator.network import SMC_GS5_SWITCH
+from repro.simulator.resources import cpu, disk, nic_in, nic_out
 from repro.telemetry import capture
 from tests.simulator.make_serial_golden import CASES
 
@@ -52,6 +61,8 @@ def test_each_run_counts_exactly_one_run_counter(case, overrides, kind):
         name: int(name == kind) for name in RUN_COUNTERS
     }
     assert counters["sim.events"] > 0
+    assert 0 < counters["sim.alloc.calls"] <= counters["sim.events"]
+    assert "sim.alloc.memo_hits" in counters
     policy = kwargs.get("policy")
     dynamic = policy is not None and not policy.is_static
     assert all((name in counters) == dynamic for name in CONTROL)
@@ -83,3 +94,43 @@ def test_disabled_telemetry_records_nothing():
     with capture(enabled=False) as local:
         sim.run(jobs, **kwargs)
     assert local.counters == {}
+
+
+def shared_template_jobs(count: int = 16) -> list[Job]:
+    """Overlapping two-phase jobs that all share one template (one phase
+    tuple, one FlowSpec per phase), as trace replay builds them."""
+    scan = FlowSpec("scan", 60.0, {cpu(0): 1.0, disk(0): 1.0, nic_out(0): 0.5})
+    probe = FlowSpec("probe", 30.0, {nic_in(1): 0.5, cpu(1): 2.0})
+    phases = (Phase("scan", (scan,)), Phase("probe", (probe,)))
+    return [Job(f"q{i}", phases, start_time_s=0.37 * i) for i in range(count)]
+
+
+def test_allocator_runs_once_per_distinct_composition():
+    sim = ClusterSimulator(
+        ClusterSpec.homogeneous(CLUSTER_V_NODE, 2), switch=SMC_GS5_SWITCH
+    )
+    with capture() as local:
+        result = sim.run(shared_template_jobs())
+    counters = local.counters
+    busy = [i.flow_names for i in result.intervals if i.flow_names]
+    # Without a policy or faults every node keeps factor 1.0, so a
+    # composition is its ordered tuple of live flow specs; here every
+    # allocation is followed by a recorded interval.
+    assert counters["sim.alloc.calls"] == len(set(busy))
+    assert counters["sim.alloc.calls"] + counters["sim.alloc.memo_hits"] == len(busy)
+    assert counters["sim.alloc.calls"] < counters["sim.events"]
+    assert counters["sim.alloc.memo_hits"] > counters["sim.alloc.calls"]
+
+
+def test_a_full_memo_starts_over_without_changing_the_records(monkeypatch):
+    sim = ClusterSimulator(
+        ClusterSpec.homogeneous(CLUSTER_V_NODE, 2), switch=SMC_GS5_SWITCH
+    )
+    jobs = shared_template_jobs()
+    with capture() as unbounded:
+        expected = sim.run(jobs)
+    monkeypatch.setattr(engine, "_MEMO_ENTRIES", 1)
+    with capture() as bounded:
+        got = sim.run(jobs)
+    assert got == expected
+    assert bounded.counters["sim.alloc.calls"] > unbounded.counters["sim.alloc.calls"]

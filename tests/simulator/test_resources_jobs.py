@@ -1,11 +1,15 @@
 """Resource pool, switch model, and job-description validation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.presets import BEEFY_L5630, CLUSTER_V_NODE, WIMPY_LAPTOP_B
+from repro.simulator.engine import ClusterSimulator
 from repro.simulator.jobs import FlowSpec, Job, Phase
+from repro.simulator.multiplex import run_multiplexed
 from repro.simulator.network import IDEAL_SWITCH, SMC_GS5_SWITCH, SwitchModel
 from repro.simulator.resources import ResourcePool, cpu, disk, nic_in, nic_out
 
@@ -77,6 +81,22 @@ class TestSwitchModel:
             SwitchModel(per_flow_interference=-0.1)
 
 
+def replay_serial(jobs):
+    return ClusterSimulator(ClusterSpec.homogeneous(CLUSTER_V_NODE, 1)).run(jobs)
+
+
+def replay_multiplexed(jobs):
+    simulator = ClusterSimulator(
+        ClusterSpec.homogeneous(CLUSTER_V_NODE, 1), record_intervals=False
+    )
+    (result,) = run_multiplexed([(simulator, jobs)])
+    return result
+
+
+def one_flow_jobs(volume, coef):
+    return [Job("j", (Phase("p", (FlowSpec("f", volume, {cpu(0): coef}),)),))]
+
+
 class TestJobValidation:
     def test_flow_negative_volume(self):
         with pytest.raises(ConfigurationError):
@@ -92,6 +112,27 @@ class TestJobValidation:
     def test_flow_nonpositive_coefficient(self):
         with pytest.raises(ConfigurationError):
             FlowSpec("f", 10.0, {cpu(0): 0.0})
+
+    # Non-finite values used to reach the replay: a NaN volume finished its
+    # job at t=0 with 0 J on both paths, and an infinite volume or
+    # coefficient or a NaN coefficient failed deep in the loop with a
+    # misleading "stalled", "no loaded resources" or "utilization is NaN".
+    @pytest.mark.parametrize("replay", [replay_serial, replay_multiplexed])
+    @pytest.mark.parametrize("volume", [math.nan, math.inf])
+    def test_non_finite_volume_never_reaches_a_replay(self, replay, volume):
+        with pytest.raises(ConfigurationError, match="volume must be finite"):
+            replay(one_flow_jobs(volume, 1.0))
+
+    @pytest.mark.parametrize("replay", [replay_serial, replay_multiplexed])
+    @pytest.mark.parametrize("coef", [math.nan, math.inf])
+    def test_non_finite_coefficient_never_reaches_a_replay(self, replay, coef):
+        with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+            replay(one_flow_jobs(10.0, coef))
+
+    @pytest.mark.parametrize("replay", [replay_serial, replay_multiplexed])
+    def test_finite_flow_replays_on_both_paths(self, replay):
+        result = replay(one_flow_jobs(10.0, 1.0))
+        assert result.makespan_s > 0 and result.energy_j > 0
 
     def test_phase_needs_flows(self):
         with pytest.raises(ConfigurationError):
