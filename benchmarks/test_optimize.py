@@ -10,11 +10,21 @@ checks the claims through pytest-benchmark; ``make bench-json`` (``python
 benchmarks/test_optimize.py --json BENCH_optimize.json``) records the
 evaluations-to-knee trajectory so future PRs can track it alongside
 ``BENCH_search.json``.
+
+The selection layer under successive halving is timed on its own too:
+``test_promotion_layers_beat_the_peel`` ranks the 3-objective records of
+the 2280-design space (the ``model-optimize`` workload of
+``perfbench/``) with the one-pass layering kernel and with the frozen
+frontier peel it replaced, and gates on their ratio; 10^4 jittered
+records are timed for the kernel only.
 """
 
 import json
+import random
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.search import (
@@ -26,6 +36,7 @@ from repro.search import (
     SearchSpace,
     SuccessiveHalving,
 )
+from repro.search.optimize import _promotion_order
 from repro.workloads.queries import q3_join
 from repro.workloads.suite import WorkloadSuite
 
@@ -77,7 +88,75 @@ def evaluations_to_knee(result, knee_key) -> int | None:
     return None
 
 
+# ------------------------------------------------- promotion-layer timing
+def jittered(records, count, seed=SEED) -> list:
+    """``count`` records: copies of ``records`` with every objective
+    scaled by a seeded factor within ±5%, under fresh labels."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        for record in records[: count - len(out)]:
+            if record.feasible:
+                record = replace(
+                    record,
+                    time_s=record.time_s * rng.uniform(0.95, 1.05),
+                    energy_j=record.energy_j * rng.uniform(0.95, 1.05),
+                    price_usd=record.price_usd * rng.uniform(0.95, 1.05),
+                )
+            out.append(
+                replace(record, candidate=replace(
+                    record.candidate, label=f"{record.label}#{len(out)}"
+                ))
+            )
+    return out
+
+
+def best_of(function, *args, repeats=3) -> float:
+    """The fastest of ``repeats`` timed calls, in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        function(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def promotion_layer_timings() -> dict:
+    """Promotion ranking at 2280 records, kernel vs frozen peel, and at
+    10^4 records, kernel only (the kernel's best of three calls; the
+    peel runs once)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.search.peel_oracle import (
+        THREE_OBJECTIVES,
+        frozen_peel,
+        model_space_study,
+    )
+
+    records = list(model_space_study().run().points)
+    large = jittered(records, 10_000)
+    assert _promotion_order(records, THREE_OBJECTIVES) == frozen_peel(
+        records, THREE_OBJECTIVES
+    )
+    kernel_s = best_of(_promotion_order, records, THREE_OBJECTIVES)
+    peel_s = best_of(frozen_peel, records, THREE_OBJECTIVES, repeats=1)
+    return {
+        "records": len(records),
+        "objectives": list(THREE_OBJECTIVES),
+        "kernel_s": round(kernel_s, 4),
+        "peel_s": round(peel_s, 4),
+        "peel_over_kernel": round(peel_s / kernel_s, 1),
+        "large_records": len(large),
+        "large_kernel_s": round(best_of(_promotion_order, large, THREE_OBJECTIVES), 4),
+    }
+
+
 # ------------------------------------------------------------- pytest gate
+def test_promotion_layers_beat_the_peel():
+    timings = promotion_layer_timings()
+    assert timings["records"] == 2280
+    assert timings["peel_over_kernel"] >= 5.0, timings
+
+
 def test_successive_halving_recovers_the_knee_cheaply():
     exhaustive = grid_baseline()
     sha = optimize(SuccessiveHalving())
@@ -141,6 +220,7 @@ def run_comparison(grid=FULL_GRID) -> dict:
         "random_evaluations_to_knee": random_to_knee,
         "random_knee_matches_grid": rand.knee().candidate.key() == knee_key,
         "random_wall_s": round(random_wall_s, 4),
+        "promotion_layers": promotion_layer_timings(),
     }
 
 

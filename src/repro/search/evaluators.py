@@ -253,7 +253,7 @@ class SearchEvaluator(abc.ABC):
         (:class:`SimulatorEvaluator` multiplexes the whole batch onto one
         event loop) while producing bit-identical records.
         """
-        _require_timed_trace(trace)
+        _require_timed_trace(trace, "evaluate_trace_batch(trace, candidates)")
         get_telemetry().count("evaluator.trace_evals", len(candidates))
         return [
             evaluate_timed_design(self, candidate, trace)
@@ -476,6 +476,7 @@ class SimulatorEvaluator(SearchEvaluator):
         survive (replica coverage lost, or every job dropped) raises
         :class:`ReproError` like any other infeasibility.
         """
+        _require_timed_trace(trace, "evaluate_trace(candidate, trace)")
         cluster = candidate.cluster()
         # a time-of-day carbon curve integrates against the per-interval
         # power timeline; flat (or no) pricing keeps recording off
@@ -636,7 +637,7 @@ class SimulatorEvaluator(SearchEvaluator):
         Flat-rate cost models price from the energy total and stay on the
         fast path.
         """
-        _require_timed_trace(trace)
+        _require_timed_trace(trace, "evaluate_trace_batch(trace, candidates)")
         telemetry = get_telemetry()
         telemetry.count("evaluator.trace_evals", len(candidates))
         faults = getattr(trace, "faults", None)
@@ -784,14 +785,13 @@ def evaluate_chunk(
     return [evaluate_design(evaluator, candidate, workload) for candidate in candidates]
 
 
-def _require_timed_trace(trace) -> None:
-    """Reject a ``trace`` argument of ``evaluate_trace_batch`` that carries
-    no arrival schedule (most often the arguments passed swapped)."""
+def _require_timed_trace(trace, call: str) -> None:
+    """Reject a ``trace`` argument of ``call`` that carries no arrival
+    schedule (most often the arguments passed swapped)."""
     if not is_timed(trace):
         raise ConfigurationError(
-            "evaluate_trace_batch(trace, candidates) expects a timed trace "
-            "(TimedTrace or FaultedTrace) and then a sequence of "
-            f"DesignCandidate; got a {type(trace).__name__} as the trace"
+            f"{call} expects a timed trace (TimedTrace or FaultedTrace) as "
+            f"its trace; got a {type(trace).__name__}"
         )
 
 

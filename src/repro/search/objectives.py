@@ -14,6 +14,9 @@ selection functions work on any objective vector:
   2-objective sweep (duplicates keep their first representative by
   label order), which the default configuration reproduces
   bit-identically (property-tested);
+* :func:`pareto_layers` — the frontier and every deeper Pareto layer
+  from one pass of the same kernel (successive halving ranks its rungs
+  with it);
 * :func:`knee_nd` — the knee generalized from max-chord-distance to
   max-distance-from-the-endpoint-simplex: each axis is normalized to
   [0, 1] over the frontier's span, the per-axis minimizers span a
@@ -35,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ModelError
 from repro.search.evaluators import EvaluatedDesign
 
@@ -47,6 +52,7 @@ __all__ = [
     "frontier_nd",
     "knee_nd",
     "objective_vector",
+    "pareto_layers",
     "register_objective",
     "resolve_objectives",
 ]
@@ -188,33 +194,96 @@ def frontier_nd(
     two contracts exactly (property-tested equivalence):
 
     * exact duplicate vectors keep only their **first representative by
-      label order** — an explicit dedupe step, so the frontier stays a
-      function of the design space, not of enumeration order;
+      label order** — the frontier stays a function of the design space,
+      not of enumeration order;
     * the result is sorted lexicographically by objective vector (ties
       by label), which for the default axes is ascending response time.
 
-    A dominator is lexicographically no later than what it dominates, so
-    after sorting only earlier survivors need checking.
+    This is the first layer of :func:`pareto_layers`, computed by the
+    same kernel without ranking the rest: a point is on the frontier
+    exactly when no point sorted before it is no worse on every axis —
+    which covers both a dominator and an earlier exact duplicate.
     """
-    objs = resolve_objectives(objectives)
-    feasible = _feasible(points)
-    if not feasible:
-        return []
+    layers = _layers(_feasible(points), resolve_objectives(objectives), True)
+    return layers[0] if layers else []
+
+
+def pareto_layers(
+    points: Sequence[EvaluatedDesign],
+    objectives: Sequence[str | Objective] | None = None,
+) -> list[list[EvaluatedDesign]]:
+    """The feasible points peeled into successive Pareto layers.
+
+    Layer 0 is :func:`frontier_nd`; layer ``k`` is the frontier of what
+    is left once layers ``0..k-1`` are removed, with the same duplicate
+    rule (a later exact duplicate falls one layer behind its
+    representative) and the same in-layer order (objective vector, then
+    label).  The layers come from one pass instead of ``k`` frontier
+    sweeps — see :func:`_layer_ranks`.
+    """
+    return _layers(_feasible(points), resolve_objectives(objectives), False)
+
+
+def _layers(
+    feasible: Sequence[EvaluatedDesign],
+    objs: Sequence[Objective],
+    first_only: bool,
+) -> list[list[EvaluatedDesign]]:
     decorated = sorted(
         ((objective_vector(p, objs), p.label, p) for p in feasible),
         key=lambda item: (item[0], item[1]),
     )
-    frontier: list[EvaluatedDesign] = []
-    kept_vectors: list[tuple[float, ...]] = []
-    previous: tuple[float, ...] | None = None
-    for vector, _, point in decorated:
-        if vector == previous:
-            continue  # exact duplicate: the min-label representative won
-        previous = vector
-        if not any(dominates(kept, vector) for kept in kept_vectors):
-            frontier.append(point)
-            kept_vectors.append(vector)
-    return frontier
+    ranks = _layer_ranks([vector for vector, _, _ in decorated], first_only)
+    layers: list[list[EvaluatedDesign]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for rank, (_, _, point) in zip(ranks, decorated):
+        layers[rank].append(point)
+    return layers[:1] if first_only else layers
+
+
+def _layer_ranks(
+    vectors: Sequence[tuple[float, ...]], first_only: bool
+) -> list[int]:
+    """The Pareto layer of each vector, given in ``(vector, label)`` order.
+
+    Call row ``j`` *below* row ``i`` when ``j`` sorts earlier and is no
+    worse on every axis.  That is exactly "``j`` dominates ``i``, or is
+    an exact duplicate the frontier keeps first" — a dominator is
+    lexicographically smaller, so it always sorts earlier.  The relation
+    is a strict partial order, and peeling its minimal elements layer by
+    layer puts each row at the length of the longest chain below it::
+
+        rank(i) = 1 + max(rank(j) for j below i), or 0 if there is none
+
+    so one pass in sort order yields every peel layer at once.  Rows are
+    compared one objective column at a time against the earlier rows
+    only (the first column needs no test: it is sorted), so no n×n
+    matrix is ever built.  With ``first_only`` only layer-0 rows are
+    kept as comparators — a row below any earlier row is below a layer-0
+    row too — and every other row reports rank 1.
+    """
+    count = len(vectors)
+    ranks = [0] * count
+    if count < 2:
+        return ranks
+    rows = np.array(vectors, dtype=float)[:, 1:]
+    kept = np.empty((rows.shape[1], count))
+    kept_ranks = np.empty(count, dtype=np.intp)
+    below = np.empty(count, dtype=bool)
+    scratch = np.empty(count, dtype=bool)
+    size = 0
+    for i, row in enumerate(rows):
+        mask = below[:size]
+        np.less_equal(kept[0, :size], row[0], out=mask)
+        for axis in range(1, len(row)):
+            np.less_equal(kept[axis, :size], row[axis], out=scratch[:size])
+            mask &= scratch[:size]
+        rank = int(kept_ranks[:size].max(where=mask, initial=-1)) + 1
+        ranks[i] = rank
+        if rank == 0 or not first_only:
+            kept[:, size] = row
+            kept_ranks[size] = rank
+            size += 1
+    return ranks
 
 
 def _edp_rule(frontier: Sequence[EvaluatedDesign]) -> EvaluatedDesign:
@@ -286,8 +355,6 @@ def _knee_simplex(
     normalized: Sequence[tuple[float, ...]],
 ) -> EvaluatedDesign:
     """Max distance from the hyperplane through the per-axis minimizers."""
-    import numpy as np
-
     dims = len(normalized[0])
     endpoints = []
     for axis in range(dims):

@@ -50,6 +50,7 @@ from repro.errors import ConfigurationError
 from repro.search.engine import DesignSpaceSearch, SearchResult
 from repro.search.evaluators import EvaluatedDesign
 from repro.search.grid import DesignCandidate
+from repro.search.objectives import pareto_layers
 from repro.search.pareto import edp_optimal, knee_point, pareto_frontier
 from repro.search.space import SearchSpace
 from repro.workloads.protocol import WeightedQuery, Workload, as_workload
@@ -397,30 +398,37 @@ def _promotion_order(
 ) -> list[int]:
     """Indices of ``records`` in promotion-priority order.
 
-    Feasible designs are peeled into successive Pareto layers (the whole
-    current proxy frontier outranks every dominated design); within a
-    layer, lower EDP first, then time, then label — all deterministic.
+    Feasible designs rank by Pareto layer (the whole current proxy
+    frontier outranks every dominated design); within a layer, lower EDP
+    first, then time, then label, then index — all deterministic.
     Infeasible designs rank last, in label order.  ``objectives`` layers
     under those axes instead of the classic (time, energy) pair.
+
+    The layers come from :func:`~repro.search.objectives.pareto_layers`
+    in one pass, and equal the ones repeated frontier peeling gives
+    (property-tested against a frozen peel).  A record object listed at
+    several indices is ranked once, so all its copies share one layer.
     """
     feasible = [i for i, record in enumerate(records) if record.feasible]
+    distinct = {id(records[i]): records[i] for i in feasible}
+    layer_of = {
+        id(point): layer
+        for layer, points in enumerate(
+            pareto_layers(list(distinct.values()), objectives)
+        )
+        for point in points
+    }
+    feasible.sort(
+        key=lambda i: (
+            layer_of[id(records[i])],
+            records[i].edp,
+            records[i].time_s,
+            records[i].label,
+        )
+    )
     infeasible = [i for i, record in enumerate(records) if not record.feasible]
-    order: list[int] = []
-    remaining = feasible
-    while remaining:
-        layer_points = pareto_frontier(
-            [records[i] for i in remaining], objectives=objectives
-        )
-        layer_ids = {id(point) for point in layer_points}
-        layer = [i for i in remaining if id(records[i]) in layer_ids]
-        layer.sort(
-            key=lambda i: (records[i].edp, records[i].time_s, records[i].label)
-        )
-        order.extend(layer)
-        layer_set = set(layer)
-        remaining = [i for i in remaining if i not in layer_set]
     infeasible.sort(key=lambda i: records[i].label)
-    return order + infeasible
+    return feasible + infeasible
 
 
 # --------------------------------------------------------------------------

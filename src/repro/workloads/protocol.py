@@ -408,7 +408,11 @@ def as_workload(workload: "Workload | JoinWorkloadSpec") -> "Workload":
         and callable(getattr(workload, "weighted_queries", None))
     ):
         return workload
+    # name the type, not the repr: a swapped-in candidate list reprs to KBs
+    got = type(workload).__name__
+    if isinstance(workload, (list, tuple)):
+        got = f"{got} of {len(workload)} items"
     raise WorkloadError(
-        f"not a workload: {workload!r} (expected a JoinWorkloadSpec or an "
+        f"not a workload: got a {got} (expected a JoinWorkloadSpec or an "
         "object with name, cache_key() and weighted_queries())"
     )

@@ -8,7 +8,7 @@ path must stay byte-for-byte untouched next to all of this.
 
 import pytest
 
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError, ModelError, WorkloadError
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.search import (
     DesignGrid,
@@ -113,6 +113,19 @@ class TestEvaluateTrace:
         candidates = GRID.candidate_list()
         with pytest.raises(ConfigurationError, match="TimedTrace or FaultedTrace"):
             evaluator.evaluate_trace_batch(candidates, small_trace())
+
+    def test_single_trace_with_swapped_arguments_names_the_expected_types(self):
+        candidate = GRID.candidate_list()[0]
+        with pytest.raises(ConfigurationError, match="TimedTrace or FaultedTrace"):
+            SimulatorEvaluator().evaluate_trace(small_trace(), candidate)
+
+    def test_search_with_swapped_arguments_names_the_type_briefly(self):
+        candidates = GRID.candidate_list()
+        assert len(candidates) == 5
+        engine = DesignSpaceSearch(evaluator=SimulatorEvaluator())
+        with pytest.raises(WorkloadError, match="list of 5 items") as caught:
+            engine.search(small_trace(), candidates)
+        assert len(str(caught.value)) < 300
 
 
 class TestTimedSearch:
